@@ -356,7 +356,7 @@ fn profile_files(
         }
         if matches!(algo, "all" | "bfs") {
             profile_section(&mut w, total, "bfs", || {
-                let _ = hypergraph::hyper_distance_stats(&h);
+                let _ = hypergraph::msbfs_distance_stats(&h);
             });
         }
         if matches!(algo, "all" | "cover") {
@@ -444,6 +444,9 @@ fn cmd_tap_sim(args: &[String]) -> Result<String, String> {
         .map(|s| s.parse().map_err(|e| format!("bad --p: {e}")))
         .transpose()?
         .unwrap_or(0.7);
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("bad --p: {p} is not a probability in [0, 1]"));
+    }
     let seed: u64 = seed_opt
         .map(|s| s.parse().map_err(|e| format!("bad --seed: {e}")))
         .transpose()?
@@ -504,6 +507,22 @@ fn cmd_tap_sim(args: &[String]) -> Result<String, String> {
     ))
 }
 
+/// `N M K` of `hg gen uniform N M K`, rejecting an edge size K larger
+/// than the vertex count N (the generator samples K distinct vertices).
+fn uniform_args(rest: &[String]) -> Result<(usize, usize, usize), String> {
+    let parse = |i: usize, name: &str| -> Result<usize, String> {
+        rest.get(i)
+            .ok_or(format!("uniform needs N M K ({name} missing)"))?
+            .parse()
+            .map_err(|e| format!("bad {name}: {e}"))
+    };
+    let (n, m, k) = (parse(1, "N")?, parse(2, "M")?, parse(3, "K")?);
+    if k > n {
+        return Err(format!("bad K: edge size {k} exceeds vertex count N = {n}"));
+    }
+    Ok((n, m, k))
+}
+
 fn cmd_gen(args: &[String]) -> Result<String, String> {
     let (seed_opt, rest) = take_opt(args, "--seed")?;
     let (out, rest) = take_opt(&rest, "-o")?;
@@ -519,13 +538,7 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
     // million-vertex bench dataset is produced.
     if what == "uniform" {
         if let Some(out) = out.as_deref().filter(|o| o.ends_with(".hgb")) {
-            let parse = |i: usize, name: &str| -> Result<usize, String> {
-                rest.get(i)
-                    .ok_or(format!("uniform needs N M K ({name} missing)"))?
-                    .parse()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let (n, m, k) = (parse(1, "N")?, parse(2, "M")?, parse(3, "K")?);
+            let (n, m, k) = uniform_args(&rest)?;
             hypergen::uniform_to_hgb(n, m, k, seed, std::path::Path::new(out))
                 .map_err(|e| format!("cannot write {out}: {e}"))?;
             return Ok(format!(
@@ -536,13 +549,7 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
     let h = match what.as_str() {
         "cellzome" => proteome::cellzome_like(seed).hypergraph,
         "uniform" => {
-            let parse = |i: usize, name: &str| -> Result<usize, String> {
-                rest.get(i)
-                    .ok_or(format!("uniform needs N M K ({name} missing)"))?
-                    .parse()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let (n, m, k) = (parse(1, "N")?, parse(2, "M")?, parse(3, "K")?);
+            let (n, m, k) = uniform_args(&rest)?;
             hypergen::uniform_random_hypergraph(n, m, k, seed)
         }
         "table1" => {

@@ -9,7 +9,7 @@
 
 use graphcore::core_decomposition;
 use hypergraph::{
-    fit_power_law, hyper_distance_stats, hypergraph_components, max_core, vertex_degree_histogram,
+    fit_power_law, hypergraph_components, max_core, msbfs_distance_stats, vertex_degree_histogram,
 };
 use matrixmarket::{row_net, table1_suite};
 use proteome::annotations::{annotate, core_summary};
@@ -26,7 +26,7 @@ pub fn e1_section2_stats() -> String {
     let cc = hypergraph_components(h);
     let big = cc.largest().expect("non-empty");
     let (giant, _, _) = cc.extract(h, big);
-    let dist = hyper_distance_stats(&giant);
+    let dist = msbfs_distance_stats(&giant);
     let hist = vertex_degree_histogram(h);
     let adh1 = h.argmax_vertex_degree().expect("non-empty");
 

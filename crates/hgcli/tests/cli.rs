@@ -208,6 +208,49 @@ fn flag_with_missing_value_errors() {
     assert!(err.contains("missing value after -o"), "{err}");
 }
 
+/// Run `hg` on input it must reject: a failing exit and an `hg: ...`
+/// message naming `expect`, never a panic and its backtrace.
+fn assert_rejected(args: &[&str], expect: &str) {
+    let (ok, _, err) = hg(args);
+    assert!(!ok, "{args:?} succeeded");
+    assert!(err.starts_with("hg: "), "{args:?}: {err}");
+    assert!(err.contains(expect), "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+}
+
+#[test]
+fn tap_sim_rejects_probability_outside_unit_interval() {
+    let dir = tmpdir("tap_p");
+    let file = dir.join("toy.hgr");
+    std::fs::write(&file, "2 3\n1 2 3\n2 3\n").unwrap();
+    let file_s = file.to_str().unwrap();
+    for p in ["2", "-1", "nan", "inf"] {
+        assert_rejected(&["tap-sim", file_s, "--p", p], "bad --p");
+    }
+    let (ok, out, err) = hg(&["tap-sim", file_s, "--p", "1"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("recovery:"), "{out}");
+}
+
+#[test]
+fn gen_uniform_rejects_edge_size_above_vertex_count() {
+    let dir = tmpdir("gen_k");
+    for out in ["x.hgr", "x.hgb"] {
+        let path = dir.join(out);
+        let path_s = path.to_str().unwrap();
+        assert_rejected(
+            &["gen", "uniform", "10", "10", "100", "-o", path_s],
+            "bad K",
+        );
+        assert!(!path.exists(), "{out} written despite the error");
+    }
+    assert_rejected(&["gen", "uniform", "10", "10", "100"], "bad K");
+    // K = N is the largest valid edge size.
+    let (ok, out, err) = hg(&["gen", "uniform", "3", "2", "3"]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("2 3\n"), "{out}");
+}
+
 /// Minimal recursive-descent JSON validity check (no parse tree): enough
 /// to catch unbalanced braces, stray commas, and broken string escaping
 /// in the hand-rolled emitter.

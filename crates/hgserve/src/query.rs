@@ -355,7 +355,7 @@ fn run_diameter(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(
     let s = if opts.parallel {
         parcore::par_msbfs_distance_stats_with(h, &opts.deadline)?
     } else {
-        hypergraph::hyper_distance_stats_with(h, &opts.deadline)?
+        hypergraph::msbfs_distance_stats_with(h, &opts.deadline)?
     };
     w.key("diameter").uint(s.diameter as u64);
     w.key("average_path_length").float(s.average_path_length);

@@ -22,7 +22,9 @@
 //! a worker runs [`route`] and hands the serialized response back via
 //! a completion queue plus a waker write. The loop itself answers the
 //! protocol-robustness errors (`503` queue-full, `408` slow-loris,
-//! `400`/`413`/`431` parse failures) without touching a worker.
+//! `400`/`413`/`431` parse failures) without touching a worker; those
+//! error replies end in a lingering close, so a client still sending
+//! the rejected request reads the reply instead of a TCP reset.
 //!
 //! Graceful shutdown: the flag wakes the loop, which closes the
 //! listener and idle connections, lets dispatched and mid-read
@@ -33,7 +35,7 @@
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -279,6 +281,10 @@ const LISTENER_TOKEN: u64 = poller::RESERVED_TOKEN - 1;
 /// requests before closing whatever is left.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// How long a lingering close waits for the client's FIN after a
+/// protocol-error reply before closing anyway.
+const LINGER: Duration = Duration::from_secs(2);
+
 /// SIGINT sets this flag (via [`install_sigint_flag`]'s handler); the
 /// event loop translates it into a graceful shutdown request.
 static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
@@ -297,7 +303,8 @@ enum ConnState {
     Reading = 1,
     /// A complete request is on the job queue or under compute.
     Dispatched = 2,
-    /// Response bytes are queued for (possibly partial) writeout.
+    /// Response bytes are queued for (possibly partial) writeout, or
+    /// the reply is out and the connection lingers before its close.
     Writing = 3,
 }
 
@@ -335,6 +342,11 @@ struct Conn {
     head_started: Option<Instant>,
     peer_closed: bool,
     close_after_flush: bool,
+    /// The pending reply rejects the request (`400`/`408`/`413`/`431`),
+    /// so the close after it lingers: the client may still be sending.
+    linger_on_close: bool,
+    /// Set while lingering: when to stop waiting for the client's FIN.
+    linger_until: Option<Instant>,
     /// Interest currently armed with the poller, to skip no-op MODs.
     armed: Interest,
 }
@@ -470,6 +482,8 @@ impl EventLoop {
                         head_started: None,
                         peer_closed: false,
                         close_after_flush: false,
+                        linger_on_close: false,
+                        linger_until: None,
                         armed: Interest::READ,
                     });
                     self.open += 1;
@@ -492,7 +506,8 @@ impl EventLoop {
     }
 
     /// Drain the socket into the read buffer (edge-triggered: until
-    /// `WouldBlock` or EOF), then try to advance the state machine.
+    /// `WouldBlock` or EOF), then try to advance the state machine. A
+    /// lingering connection discards what it reads and closes at EOF.
     fn conn_readable(&mut self, idx: usize) {
         let mut scratch = [0u8; 16 * 1024];
         loop {
@@ -504,13 +519,25 @@ impl EventLoop {
                     conn.peer_closed = true;
                     break;
                 }
-                Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    if conn.linger_until.is_none() {
+                        conn.rbuf.extend_from_slice(&scratch[..n]);
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close_conn(idx);
                     return;
                 }
+            }
+        }
+        if let Some(conn) = self.conns[idx].as_ref() {
+            if conn.linger_until.is_some() {
+                if conn.peer_closed {
+                    self.close_conn(idx);
+                }
+                return;
             }
         }
         self.advance(idx);
@@ -582,12 +609,40 @@ impl EventLoop {
             Act::ParkIdle => self.set_state(idx, ConnState::Idle),
             Act::ParkReading => self.set_state(idx, ConnState::Reading),
             Act::Dispatch(req) => self.dispatch(idx, *req),
-            Act::Respond { status, message } => {
-                hgobs::counter!("serve.bad_requests");
-                let (head, body) = Response::error(status, &message).to_bytes(true);
-                self.enqueue_write(idx, head, body, true);
-            }
+            Act::Respond { status, message } => self.reject(idx, status, &message),
         }
+    }
+
+    /// Answer a request the loop itself rejects, then close. The client
+    /// may still be sending that request, so the close lingers.
+    fn reject(&mut self, idx: usize, status: u16, message: &str) {
+        hgobs::counter!("serve.bad_requests");
+        if let Some(conn) = self.conns[idx].as_mut() {
+            conn.linger_on_close = true;
+        }
+        let (head, body) = Response::error(status, message).to_bytes(true);
+        self.enqueue_write(idx, head, body, true);
+    }
+
+    /// Lingering close (RFC 9112 §9.6): closing a socket with unread
+    /// input makes the kernel send a reset, which can destroy the reply
+    /// before the client reads it. So shut only the write side (the
+    /// reply ends in a FIN) and discard input until the client closes
+    /// or [`LINGER`] passes.
+    fn start_linger(&mut self, idx: usize) {
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        if conn.stream.shutdown(Shutdown::Write).is_err() {
+            self.close_conn(idx);
+            return;
+        }
+        conn.linger_until = Some(Instant::now() + LINGER);
+        conn.rbuf = Vec::new();
+        conn.rpos = 0;
+        self.rearm(idx, Interest::READ);
+        // Edge-triggered: input that arrived meanwhile raises no event.
+        self.conn_readable(idx);
     }
 
     /// Hand a parsed request to the worker pool, or answer `503` +
@@ -639,8 +694,8 @@ impl EventLoop {
 
     /// Write queued chunks with vectored writes until drained or
     /// `WouldBlock` (then arm write interest and wait for the edge).
-    /// A finished flush closes the connection or parses the next
-    /// pipelined request from the buffer.
+    /// A finished flush closes the connection (lingering after a
+    /// rejection) or parses the next pipelined request from the buffer.
     fn flush(&mut self, idx: usize) {
         loop {
             let Some(conn) = self.conns[idx].as_mut() else {
@@ -684,11 +739,18 @@ impl EventLoop {
                 }
             }
         }
-        let close = self.conns[idx]
-            .as_ref()
-            .is_some_and(|c| c.close_after_flush);
-        if close {
-            self.close_conn(idx);
+        let Some(conn) = self.conns[idx].as_ref() else {
+            return;
+        };
+        if conn.linger_until.is_some() {
+            return;
+        }
+        if conn.close_after_flush {
+            if conn.linger_on_close && !conn.peer_closed {
+                self.start_linger(idx);
+            } else {
+                self.close_conn(idx);
+            }
             return;
         }
         self.rearm(idx, Interest::READ);
@@ -709,47 +771,51 @@ impl EventLoop {
     }
 
     /// Answer `408` on connections whose request head has been
-    /// trickling in longer than the header timeout (slow-loris).
-    fn check_head_timeouts(&mut self) {
+    /// trickling in longer than the header timeout (slow-loris), and
+    /// close lingering connections whose linger time is up.
+    fn check_timeouts(&mut self) {
         let budget = self.state.header_timeout;
         let now = Instant::now();
         for idx in 0..self.conns.len() {
-            let expired = self.conns[idx].as_ref().is_some_and(|c| {
-                c.state == ConnState::Reading
-                    && c.head_started
-                        .is_some_and(|t0| now.duration_since(t0) >= budget)
-            });
+            let Some(c) = self.conns[idx].as_ref() else {
+                continue;
+            };
+            if c.linger_until.is_some_and(|t| now >= t) {
+                self.close_conn(idx);
+                continue;
+            }
+            let expired = c.state == ConnState::Reading
+                && c.head_started
+                    .is_some_and(|t0| now.duration_since(t0) >= budget);
             if expired {
-                hgobs::counter!("serve.bad_requests");
                 hgobs::log::warn(|| {
                     "closing slow connection with 408: request header read timed out".to_string()
                 });
-                let (head, body) =
-                    Response::error(408, "request header read timed out").to_bytes(true);
-                self.enqueue_write(idx, head, body, true);
+                self.reject(idx, 408, "request header read timed out");
             }
         }
     }
 
-    /// The nearest timer deadline: the earliest slow-loris expiry,
-    /// capped by the drain deadline during shutdown. `None` blocks
-    /// until readiness or a wake.
+    /// The nearest timer deadline: the earliest slow-loris or linger
+    /// expiry, capped by the drain deadline during shutdown. `None`
+    /// blocks until readiness or a wake.
     fn next_timeout(&self, drain_deadline: Option<Instant>) -> Option<Duration> {
         let mut next: Option<Instant> = drain_deadline;
         for conn in self.conns.iter().flatten() {
-            if conn.state == ConnState::Reading {
-                if let Some(t0) = conn.head_started {
-                    let deadline = t0 + self.state.header_timeout;
-                    next = Some(next.map_or(deadline, |n| n.min(deadline)));
-                }
+            let head_deadline = conn
+                .head_started
+                .filter(|_| conn.state == ConnState::Reading)
+                .map(|t0| t0 + self.state.header_timeout);
+            for deadline in [head_deadline, conn.linger_until].into_iter().flatten() {
+                next = Some(next.map_or(deadline, |n| n.min(deadline)));
             }
         }
         next.map(|deadline| deadline.saturating_duration_since(Instant::now()))
     }
 
-    /// Start the graceful drain: stop accepting and drop parked idle
-    /// connections; reading/dispatched/writing connections get the
-    /// grace period to finish.
+    /// Start the graceful drain: stop accepting and drop parked idle and
+    /// lingering connections; reading/dispatched/writing connections
+    /// get the grace period to finish.
     fn begin_drain(&mut self) {
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.delete(listener_fd(&listener));
@@ -757,7 +823,7 @@ impl EventLoop {
         for idx in 0..self.conns.len() {
             if self.conns[idx]
                 .as_ref()
-                .is_some_and(|c| c.state == ConnState::Idle)
+                .is_some_and(|c| c.state == ConnState::Idle || c.linger_until.is_some())
             {
                 self.close_conn(idx);
             }
@@ -807,7 +873,7 @@ impl EventLoop {
                 }
             }
             self.drain_completions();
-            self.check_head_timeouts();
+            self.check_timeouts();
         }
         // Dropping self (and with it `jobs`) closes the queue; workers
         // finish whatever is already queued, then exit.

@@ -155,6 +155,31 @@ fn oversized_headers_answer_431_and_close() {
 }
 
 #[test]
+fn server_keeps_draining_input_after_431() {
+    // A client may still be sending when the server rejects its head.
+    // Closing the socket on unread input makes the kernel send a reset,
+    // which can destroy the 431 before the client reads it. So after
+    // the reply the server shuts only its write side and discards input
+    // until the client closes: writes after the 431 keep succeeding.
+    let (handle, addr) = boot();
+    let mut conn = connect(&addr);
+    let filler = format!("X-Pad: {}\r\n", "y".repeat(120));
+    let oversized = format!("GET /healthz HTTP/1.1\r\n{}", filler.repeat(140));
+    conn.write_all(oversized.as_bytes()).unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).expect("read 431 then EOF");
+    assert!(raw.starts_with("HTTP/1.1 431 "), "{raw}");
+    assert!(raw.contains("Connection: close"), "{raw}");
+    for round in 0..3 {
+        conn.write_all(filler.as_bytes())
+            .unwrap_or_else(|e| panic!("write {round} after the 431: {e}"));
+        // Time for a reset, had the server closed, to come back.
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn mid_request_fin_answers_400() {
     let (handle, addr) = boot();
     let mut conn = connect(&addr);

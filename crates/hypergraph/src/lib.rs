@@ -108,9 +108,8 @@ pub use multicover::{greedy_multicover, is_multicover};
 pub use mutable::MutableHypergraph;
 pub use overlap::OverlapTable;
 pub use path::{
-    hyper_distance_stats, hyper_distance_stats_with, hyper_distances, hyper_distances_with,
-    scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,
-    scalar_hyper_distance_stats_from_with, HyperDistanceStats,
+    hyper_distances, hyper_distances_with, scalar_hyper_distance_stats,
+    scalar_hyper_distance_stats_from, scalar_hyper_distance_stats_from_with, HyperDistanceStats,
 };
 pub use powerlaw::{fit_power_law, PowerLawFit};
 pub use projections::{clique_expansion, intersection_graph, star_expansion, SpaceReport};

@@ -105,7 +105,9 @@ fn record_bfs_shape(dist: &[u32]) {
     }
 }
 
-/// Aggregate vertex-pair distance statistics (paper §2).
+/// Aggregate vertex-pair distance statistics (paper §2), computed by
+/// the batched [`crate::msbfs::msbfs_distance_stats`] engine or by the
+/// [`scalar_hyper_distance_stats`] oracle.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HyperDistanceStats {
     /// Largest finite vertex-pair distance (in hyperedges).
@@ -114,48 +116,6 @@ pub struct HyperDistanceStats {
     pub average_path_length: f64,
     /// Number of reachable ordered pairs contributing to the mean.
     pub reachable_pairs: u64,
-}
-
-/// Exact statistics from every vertex. Since the batched MS-BFS kernel
-/// landed this routes through [`crate::msbfs::msbfs_distance_stats`]
-/// (bit-identical results, a fraction of the memory traffic); the
-/// per-source sweep survives as [`scalar_hyper_distance_stats`], the
-/// oracle the equivalence tests compare against.
-pub fn hyper_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
-    match hyper_distance_stats_with(h, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`hyper_distance_stats`] under a cooperative [`Deadline`]. On expiry
-/// the error carries phase `"msbfs"` and counts *batches* of
-/// [`crate::msbfs::BATCH`] sources fully completed.
-pub fn hyper_distance_stats_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    crate::msbfs::msbfs_distance_stats_with(h, deadline)
-}
-
-/// Statistics restricted to BFS sources chosen by the caller (sampling
-/// for large hypergraphs; diameter becomes a lower bound). Routed
-/// through the batched MS-BFS kernel.
-pub fn hyper_distance_stats_from(h: &Hypergraph, sources: &[VertexId]) -> HyperDistanceStats {
-    match hyper_distance_stats_from_with(h, sources, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`hyper_distance_stats_from`] under a cooperative [`Deadline`];
-/// deadline contract as in [`hyper_distance_stats_with`].
-pub fn hyper_distance_stats_from_with(
-    h: &Hypergraph,
-    sources: &[VertexId],
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    crate::msbfs::msbfs_distance_stats_from_with(h, sources, deadline)
 }
 
 /// The pre-MS-BFS engine: one scalar BFS per source. Kept as the oracle
@@ -260,6 +220,9 @@ pub fn scalar_hyper_distance_stats_from_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msbfs::{
+        msbfs_distance_stats, msbfs_distance_stats_from, msbfs_distance_stats_with,
+    };
     use crate::{BipartiteView, HypergraphBuilder};
     use std::time::Duration;
 
@@ -308,7 +271,7 @@ mod tests {
 
     #[test]
     fn stats_on_chain() {
-        let s = hyper_distance_stats(&chain());
+        let s = msbfs_distance_stats(&chain());
         assert_eq!(s.diameter, 3);
         // ordered pairs: (0,1)=1 (0,2)=2 (0,3)=3 (1,2)=1 (1,3)=2 (2,3)=1 and
         // symmetric: total = 2*(1+2+3+1+2+1) = 20 over 12 pairs.
@@ -343,22 +306,22 @@ mod tests {
         let h = chain();
         let all: Vec<_> = h.vertices().collect();
         assert_eq!(
-            hyper_distance_stats(&h),
-            hyper_distance_stats_from(&h, &all)
+            msbfs_distance_stats(&h),
+            msbfs_distance_stats_from(&h, &all)
         );
     }
 
     #[test]
     fn default_engine_matches_scalar_oracle() {
         for h in [chain(), big_ring(200)] {
-            assert_eq!(hyper_distance_stats(&h), scalar_hyper_distance_stats(&h));
+            assert_eq!(msbfs_distance_stats(&h), scalar_hyper_distance_stats(&h));
         }
     }
 
     #[test]
     fn empty_hypergraph_stats() {
         let h = HypergraphBuilder::new(0).build();
-        let s = hyper_distance_stats(&h);
+        let s = msbfs_distance_stats(&h);
         assert_eq!(s.diameter, 0);
         assert_eq!(s.reachable_pairs, 0);
     }
@@ -372,8 +335,8 @@ mod tests {
             hyper_distances_with(&h, VertexId(3), &none).unwrap()
         );
         assert_eq!(
-            hyper_distance_stats(&h),
-            hyper_distance_stats_with(&h, &none).unwrap()
+            msbfs_distance_stats(&h),
+            msbfs_distance_stats_with(&h, &none).unwrap()
         );
     }
 
@@ -382,7 +345,7 @@ mod tests {
         let h = big_ring(3000);
         let dl = Deadline::after(Duration::ZERO);
         assert!(dl.expired());
-        let err = hyper_distance_stats_with(&h, &dl).unwrap_err();
+        let err = msbfs_distance_stats_with(&h, &dl).unwrap_err();
         assert_eq!(err.phase, "msbfs");
         assert_eq!(err.work_done, 0, "{err:?}");
     }

@@ -12,11 +12,12 @@ use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::hypergraph::Hypergraph;
 use crate::hypergraph::VertexId;
-use crate::overlap::d2_vertex;
-use crate::path::{
-    hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_from_with,
-    hyper_distance_stats_with, HyperDistanceStats,
+use crate::msbfs::{
+    msbfs_distance_stats, msbfs_distance_stats_from, msbfs_distance_stats_from_with,
+    msbfs_distance_stats_with,
 };
+use crate::overlap::d2_vertex;
+use crate::path::HyperDistanceStats;
 
 /// Small-world summary of a hypergraph.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,7 +38,7 @@ pub struct SmallWorldReport {
 
 /// Compute the small-world report with exact distances.
 pub fn small_world_report(h: &Hypergraph) -> SmallWorldReport {
-    let distances = hyper_distance_stats(h);
+    let distances = msbfs_distance_stats(h);
     report_from_distances(h, distances)
 }
 
@@ -47,13 +48,13 @@ pub fn small_world_report_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<SmallWorldReport, DeadlineExceeded> {
-    let distances = hyper_distance_stats_with(h, deadline)?;
+    let distances = msbfs_distance_stats_with(h, deadline)?;
     Ok(report_from_distances(h, distances))
 }
 
 /// Compute the report using sampled BFS sources (for large hypergraphs).
 pub fn small_world_report_sampled(h: &Hypergraph, sources: &[VertexId]) -> SmallWorldReport {
-    let distances = hyper_distance_stats_from(h, sources);
+    let distances = msbfs_distance_stats_from(h, sources);
     report_from_distances(h, distances)
 }
 
@@ -63,7 +64,7 @@ pub fn small_world_report_sampled_with(
     sources: &[VertexId],
     deadline: &Deadline,
 ) -> Result<SmallWorldReport, DeadlineExceeded> {
-    let distances = hyper_distance_stats_from_with(h, sources, deadline)?;
+    let distances = msbfs_distance_stats_from_with(h, sources, deadline)?;
     Ok(report_from_distances(h, distances))
 }
 

@@ -31,8 +31,7 @@ pub fn par_csr_overlap(h: &Hypergraph) -> CsrOverlap {
 
 /// Build a [`CsrOverlap`] from per-vertex-range shards in parallel,
 /// under a cooperative [`Deadline`] checked once per vertex (overshoot
-/// bounded by the widest adjacency list, as in
-/// [`crate::par_overlap_table_with`]). The error's `work_done` counts
+/// bounded by the widest adjacency list). The error's `work_done` counts
 /// pairs generated before expiry.
 pub fn par_csr_overlap_with(
     h: &Hypergraph,

@@ -1,104 +1,18 @@
-//! Parallel hypergraph distance statistics: one BFS per source, sources
-//! distributed over threads (each with private scratch buffers), results
-//! reduced at the end. Exactly matches the sequential
-//! [`hypergraph::hyper_distance_stats`].
-//!
-//! The `*_with` variants share one [`hgobs::Deadline`] across all worker
-//! threads: the first BFS whose clock check trips latches the token's
-//! cancel flag, and every sibling worker observes it on its next
-//! amortized tick, so the whole sweep unwinds within one check interval
-//! per thread.
+//! Family tests for parallel distance statistics: the one parallel
+//! distance engine, [`crate::par_msbfs`], held to the sequential
+//! oracles in `hypergraph` on the inputs the distance family has always
+//! been checked on.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rayon::prelude::*;
-
-use hgobs::{Deadline, DeadlineExceeded};
-use hypergraph::path::UNREACHABLE;
-use hypergraph::{HyperDistanceStats, Hypergraph, VertexId};
-
-/// Parallel exact distance statistics (diameter, average path length)
-/// over all reachable ordered vertex pairs.
-pub fn par_hyper_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
-    let sources: Vec<VertexId> = h.vertices().collect();
-    par_hyper_distance_stats_from(h, &sources)
-}
-
-/// [`par_hyper_distance_stats`] under a cooperative [`Deadline`] shared
-/// by every worker. The error's `work_done` counts BFS sources fully
-/// completed across all threads.
-pub fn par_hyper_distance_stats_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let sources: Vec<VertexId> = h.vertices().collect();
-    par_hyper_distance_stats_from_with(h, &sources, deadline)
-}
-
-/// Parallel distance statistics from the given BFS sources.
-pub fn par_hyper_distance_stats_from(h: &Hypergraph, sources: &[VertexId]) -> HyperDistanceStats {
-    match par_hyper_distance_stats_from_with(h, sources, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`par_hyper_distance_stats_from`] under a cooperative [`Deadline`].
-pub fn par_hyper_distance_stats_from_with(
-    h: &Hypergraph,
-    sources: &[VertexId],
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("bfs.par.sweep");
-    let completed = AtomicU64::new(0);
-    let reduced = sources
-        .par_iter()
-        .fold(
-            || Ok((0u32, 0u128, 0u64)),
-            |acc: Result<_, ()>, &s| {
-                let (mut diameter, mut total, mut pairs) = acc?;
-                // A flag-only pre-check lets workers skip whole sources
-                // once a sibling has latched expiry.
-                if deadline.cancelled() {
-                    return Err(());
-                }
-                let dist = hypergraph::hyper_distances_with(h, s, deadline).map_err(|_| ())?;
-                for (v, &d) in dist.iter().enumerate() {
-                    if d != UNREACHABLE && v != s.index() {
-                        diameter = diameter.max(d);
-                        total += d as u128;
-                        pairs += 1;
-                    }
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                Ok((diameter, total, pairs))
-            },
-        )
-        .reduce(
-            || Ok((0u32, 0u128, 0u64)),
-            |a, b| match (a, b) {
-                (Ok(x), Ok(y)) => Ok((x.0.max(y.0), x.1 + y.1, x.2 + y.2)),
-                _ => Err(()),
-            },
-        );
-    match reduced {
-        Ok((diameter, total, pairs)) => Ok(HyperDistanceStats {
-            diameter,
-            average_path_length: if pairs == 0 {
-                0.0
-            } else {
-                total as f64 / pairs as f64
-            },
-            reachable_pairs: pairs,
-        }),
-        Err(()) => Err(deadline.exceeded("bfs.par.sweep", completed.load(Ordering::Relaxed))),
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use hypergraph::{hyper_distance_stats, HypergraphBuilder};
+    use crate::{
+        par_msbfs_distance_stats, par_msbfs_distance_stats_from, par_msbfs_distance_stats_with,
+    };
+    use hgobs::Deadline;
+    use hypergraph::msbfs::BATCH;
+    use hypergraph::{
+        msbfs_distance_stats, msbfs_distance_stats_from, scalar_hyper_distance_stats,
+        HypergraphBuilder, VertexId,
+    };
 
     #[test]
     fn matches_sequential_chain() {
@@ -107,21 +21,27 @@ mod tests {
             b.add_edge([i, i + 1]);
         }
         let h = b.build();
-        assert_eq!(hyper_distance_stats(&h), par_hyper_distance_stats(&h));
+        assert_eq!(
+            scalar_hyper_distance_stats(&h),
+            par_msbfs_distance_stats(&h)
+        );
     }
 
     #[test]
     fn matches_sequential_random() {
         for seed in 0..3u64 {
             let h = hypergen::uniform_random_hypergraph(80, 60, 4, seed);
-            assert_eq!(hyper_distance_stats(&h), par_hyper_distance_stats(&h));
+            assert_eq!(
+                scalar_hyper_distance_stats(&h),
+                par_msbfs_distance_stats(&h)
+            );
         }
     }
 
     #[test]
     fn empty() {
         let h = HypergraphBuilder::new(0).build();
-        let s = par_hyper_distance_stats(&h);
+        let s = par_msbfs_distance_stats(&h);
         assert_eq!(s.reachable_pairs, 0);
         assert_eq!(s.diameter, 0);
     }
@@ -133,8 +53,8 @@ mod tests {
         b.add_edge([2, 3, 4]);
         let h = b.build();
         let some = [VertexId(0), VertexId(4)];
-        let par = par_hyper_distance_stats_from(&h, &some);
-        let seq = hypergraph::path::hyper_distance_stats_from(&h, &some);
+        let par = par_msbfs_distance_stats_from(&h, &some);
+        let seq = msbfs_distance_stats_from(&h, &some);
         assert_eq!(par, seq);
     }
 
@@ -142,9 +62,10 @@ mod tests {
     fn unlimited_deadline_matches_plain_variant() {
         let h = hypergen::uniform_random_hypergraph(80, 60, 4, 9);
         assert_eq!(
-            par_hyper_distance_stats(&h),
-            par_hyper_distance_stats_with(&h, &Deadline::none()).unwrap()
+            par_msbfs_distance_stats(&h),
+            par_msbfs_distance_stats_with(&h, &Deadline::none()).unwrap()
         );
+        assert_eq!(par_msbfs_distance_stats(&h), msbfs_distance_stats(&h));
     }
 
     #[test]
@@ -152,22 +73,27 @@ mod tests {
         let h = hypergen::uniform_random_hypergraph(2000, 1500, 5, 3);
         let dl = Deadline::cancellable();
         dl.cancel();
-        let err = par_hyper_distance_stats_with(&h, &dl).unwrap_err();
-        assert_eq!(err.phase, "bfs.par.sweep");
+        let err = par_msbfs_distance_stats_with(&h, &dl).unwrap_err();
+        assert_eq!(err.phase, "msbfs.par");
         assert_eq!(err.work_done, 0, "{err:?}");
     }
 
     #[test]
     fn tiny_budget_stops_parallel_sweep_early() {
         let h = hypergen::uniform_random_hypergraph(3000, 2400, 5, 11);
-        match par_hyper_distance_stats_with(&h, &Deadline::after_ms(2)) {
+        match par_msbfs_distance_stats_with(&h, &Deadline::after_ms(2)) {
             Err(err) => {
-                assert_eq!(err.phase, "bfs.par.sweep");
-                assert!(err.work_done < 3000, "{err:?}");
+                assert_eq!(err.phase, "msbfs.par");
+                // work_done counts finished batches of BATCH sources.
+                assert!(
+                    (err.work_done as usize) < 3000_usize.div_ceil(BATCH),
+                    "{err:?}"
+                );
             }
-            // A machine fast enough to finish 3000 BFS sweeps in 2ms just
-            // proves the Ok path; the cancelled test covers expiry.
-            Ok(stats) => assert_eq!(stats, par_hyper_distance_stats(&h)),
+            // A machine fast enough to finish the 3000-source sweep in
+            // 2ms just proves the Ok path; the cancelled test covers
+            // expiry.
+            Ok(stats) => assert_eq!(stats, par_msbfs_distance_stats(&h)),
         }
     }
 }

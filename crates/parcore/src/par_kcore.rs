@@ -258,47 +258,6 @@ pub fn par_hypergraph_kcore_with(
     })
 }
 
-/// Parallel maximum core: largest k with a non-empty k-core. Same
-/// doubling + binary search over `k` as [`hypergraph::max_core`]
-/// (k-cores are nested, so non-emptiness is monotone in `k`).
-pub fn par_max_core(h: &Hypergraph) -> Option<KCore> {
-    match par_max_core_with(h, &Deadline::none()) {
-        Ok(core) => core,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`par_max_core`] under a cooperative [`Deadline`]; every peel in the
-/// doubling and binary-search phases runs under the same token.
-pub fn par_max_core_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<Option<KCore>, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore.par.max_core_search");
-    if par_hypergraph_kcore_with(h, 1, deadline)?.is_empty() {
-        return Ok(None);
-    }
-    let mut lo = 1u32;
-    let mut hi = 2u32;
-    while !par_hypergraph_kcore_with(h, hi, deadline)?.is_empty() {
-        lo = hi;
-        hi = hi.saturating_mul(2);
-        if hi as usize > h.max_vertex_degree() + 1 {
-            hi = h.max_vertex_degree() as u32 + 1;
-            break;
-        }
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if par_hypergraph_kcore_with(h, mid, deadline)?.is_empty() {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(Some(par_hypergraph_kcore_with(h, lo, deadline)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,8 +328,8 @@ mod tests {
         for k in 1..8 {
             assert_equivalent(&h, k);
         }
-        let seq = hypergraph::max_core(&h).unwrap();
-        let par = par_max_core(&h).unwrap();
+        let seq = hypergraph::max_core_bsearch(&h).unwrap();
+        let par = crate::par_decompose(&h).max_core.unwrap();
         assert_eq!(seq.k, par.k);
         assert_eq!(seq.vertices, par.vertices);
     }
@@ -388,7 +347,7 @@ mod tests {
     #[test]
     fn empty_and_degenerate() {
         let h = HypergraphBuilder::new(0).build();
-        assert!(par_max_core(&h).is_none());
+        assert!(crate::par_decompose(&h).max_core.is_none());
         let mut b = HypergraphBuilder::new(3);
         b.add_edge([]);
         let h = b.build();
@@ -403,7 +362,7 @@ mod tests {
         let err = par_hypergraph_kcore_with(&h, 2, &dl).unwrap_err();
         assert_eq!(err.phase, "kcore.par.round");
         assert_eq!(err.work_done, 0, "{err:?}");
-        assert!(par_max_core_with(&h, &dl).is_err());
+        assert!(crate::par_decompose_with(&h, &dl).is_err());
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! [`hypergraph::msbfs_distance_stats`], which itself matches the
 //! scalar per-source oracle bit for bit.
 //!
-//! Cancellation follows the [`par_distance`](crate::par_distance)
-//! scheme: one shared [`Deadline`] token; the first worker whose clock
-//! check trips latches the cancel flag, siblings observe it on their
-//! flag-only pre-check at the next batch boundary.
+//! Cancellation: one shared [`Deadline`] token; the first worker whose
+//! clock check trips latches the cancel flag, siblings observe it on
+//! their flag-only pre-check at the next batch boundary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -189,8 +188,7 @@ pub fn par_small_world_report_with(
 mod tests {
     use super::*;
     use hypergraph::{
-        hyper_distance_stats, msbfs_distance_stats, scalar_hyper_distance_stats,
-        small_world_report, HypergraphBuilder,
+        msbfs_distance_stats, scalar_hyper_distance_stats, small_world_report, HypergraphBuilder,
     };
 
     #[test]
@@ -211,7 +209,7 @@ mod tests {
             b.add_edge([i, i + 1]);
         }
         let h = b.build();
-        assert_eq!(par_msbfs_distance_stats(&h), hyper_distance_stats(&h));
+        assert_eq!(par_msbfs_distance_stats(&h), msbfs_distance_stats(&h));
     }
 
     #[test]
@@ -226,7 +224,7 @@ mod tests {
         let some = [VertexId(0), VertexId(4)];
         assert_eq!(
             par_msbfs_distance_stats_from(&h, &some),
-            hypergraph::path::hyper_distance_stats_from(&h, &some)
+            hypergraph::msbfs_distance_stats_from(&h, &some)
         );
     }
 

@@ -1,84 +1,31 @@
-//! Parallel pairwise hyperedge overlap computation.
-//!
-//! The sequential k-core spends its setup in
-//! [`hypergraph::OverlapTable::build`], which is `O(Σ_v d(v)²)`. Here the
-//! per-vertex pair lists are generated in parallel, sorted, and reduced
-//! to per-pair counts — same information, different layout: a flat sorted
-//! vector of `(f, g, |f ∩ g|)` with `f < g`.
+//! Family tests for the parallel pairwise overlap: the one parallel
+//! overlap engine, [`crate::par_csr_overlap()`], held to the paper's
+//! sequential [`hypergraph::OverlapTable`] as distinct `(f, g, |f ∩ g|)`
+//! triples with `f < g`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use rayon::prelude::*;
-
-use hgobs::{Deadline, DeadlineExceeded};
-#[cfg(test)]
-use hypergraph::OverlapTable;
-use hypergraph::{EdgeId, Hypergraph};
-
-/// All nonzero pairwise overlaps as sorted `(f, g, count)` triples with
-/// `f < g`.
-pub fn par_overlap_table(h: &Hypergraph) -> Vec<(EdgeId, EdgeId, u32)> {
-    match par_overlap_table_with(h, &Deadline::none()) {
-        Ok(table) => table,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`par_overlap_table`] under a cooperative [`Deadline`], checked once
-/// per vertex by the parallel pair generators (each per-vertex chunk is
-/// `O(d(v)²)`, so overshoot is bounded by the widest adjacency list).
-/// The error's `work_done` counts the pairs generated before expiry.
-pub fn par_overlap_table_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<Vec<(EdgeId, EdgeId, u32)>, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("overlap.par.build");
-    let tripped = AtomicBool::new(false);
-    let mut pairs: Vec<(u32, u32)> = h
-        .vertices()
-        .collect::<Vec<_>>()
-        .par_iter()
-        .flat_map_iter(|&v| {
-            if tripped.load(Ordering::Relaxed) || deadline.expired() {
-                tripped.store(true, Ordering::Relaxed);
-                return Vec::new();
-            }
-            let adj = h.edges_of(v);
-            let mut local = Vec::with_capacity(adj.len() * adj.len().saturating_sub(1) / 2);
-            for (i, &f) in adj.iter().enumerate() {
-                for &g in &adj[i + 1..] {
-                    local.push((f.0, g.0));
-                }
-            }
-            local
-        })
-        .collect();
-    hgobs::counter!("overlap.par.pairs", pairs.len());
-    if tripped.load(Ordering::Relaxed) {
-        return Err(deadline.exceeded("overlap.par.build", pairs.len() as u64));
-    }
-    pairs.par_sort_unstable();
-
-    let mut out: Vec<(EdgeId, EdgeId, u32)> = Vec::new();
-    for (f, g) in pairs {
-        match out.last_mut() {
-            Some(last) if last.0 .0 == f && last.1 .0 == g => last.2 += 1,
-            _ => out.push((EdgeId(f), EdgeId(g), 1)),
-        }
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use hypergraph::HypergraphBuilder;
+    use crate::{par_csr_overlap, par_csr_overlap_with};
+    use hgobs::Deadline;
+    use hypergraph::{CsrOverlap, EdgeId, Hypergraph, HypergraphBuilder, OverlapTable};
 
     fn reference(h: &Hypergraph) -> Vec<(EdgeId, EdgeId, u32)> {
         let t = OverlapTable::build(h);
         let mut out = Vec::new();
         for f in h.edges() {
             for (g, c) in t.overlapping(f) {
+                if f < g {
+                    out.push((f, g, c));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn triples(h: &Hypergraph, ov: &CsrOverlap) -> Vec<(EdgeId, EdgeId, u32)> {
+        let mut out = Vec::new();
+        for f in h.edges() {
+            for (g, c) in ov.overlapping(f) {
                 if f < g {
                     out.push((f, g, c));
                 }
@@ -96,21 +43,21 @@ mod tests {
         b.add_edge([3, 4]);
         b.add_edge([0, 1, 2]);
         let h = b.build();
-        assert_eq!(par_overlap_table(&h), reference(&h));
+        assert_eq!(triples(&h, &par_csr_overlap(&h)), reference(&h));
     }
 
     #[test]
     fn matches_on_random() {
         for seed in 0..3u64 {
             let h = hypergen::uniform_random_hypergraph(50, 60, 5, seed);
-            assert_eq!(par_overlap_table(&h), reference(&h));
+            assert_eq!(triples(&h, &par_csr_overlap(&h)), reference(&h));
         }
     }
 
     #[test]
     fn empty() {
         let h = HypergraphBuilder::new(0).build();
-        assert!(par_overlap_table(&h).is_empty());
+        assert!(triples(&h, &par_csr_overlap(&h)).is_empty());
     }
 
     #[test]
@@ -118,8 +65,8 @@ mod tests {
         let h = hypergen::uniform_random_hypergraph(300, 400, 5, 8);
         let dl = Deadline::cancellable();
         dl.cancel();
-        let err = par_overlap_table_with(&h, &dl).unwrap_err();
-        assert_eq!(err.phase, "overlap.par.build");
+        let err = par_csr_overlap_with(&h, &dl).unwrap_err();
+        assert_eq!(err.phase, "overlap.csr.par.build");
         assert_eq!(err.work_done, 0, "{err:?}");
     }
 
@@ -127,8 +74,8 @@ mod tests {
     fn unlimited_deadline_matches_plain_table() {
         let h = hypergen::uniform_random_hypergraph(50, 60, 5, 1);
         assert_eq!(
-            par_overlap_table(&h),
-            par_overlap_table_with(&h, &Deadline::none()).unwrap()
+            triples(&h, &par_csr_overlap(&h)),
+            triples(&h, &par_csr_overlap_with(&h, &Deadline::none()).unwrap())
         );
     }
 }

@@ -78,7 +78,7 @@ proptest! {
         let oracle = scalar_hyper_distance_stats_from(&h, &sources);
         prop_assert_eq!(
             oracle,
-            hypergraph::path::hyper_distance_stats_from(&h, &sources)
+            hypergraph::msbfs_distance_stats_from(&h, &sources)
         );
         prop_assert_eq!(oracle, par_msbfs_distance_stats_from(&h, &sources));
     }

@@ -4,10 +4,7 @@
 use proptest::prelude::*;
 
 use hypergraph::{Hypergraph, HypergraphBuilder};
-use parcore::{
-    par_core_decomposition, par_hyper_distance_stats, par_hypergraph_kcore,
-    scoped_hyper_distance_stats,
-};
+use parcore::{par_csr_overlap, par_hypergraph_kcore, par_msbfs_distance_stats};
 
 fn arb_hypergraph(
     max_v: usize,
@@ -62,50 +59,23 @@ proptest! {
         );
     }
 
-    /// Parallel distance stats == sequential.
+    /// Parallel distance stats == the scalar per-source oracle.
     #[test]
     fn par_distances_equivalent(h in arb_hypergraph(14, 10, 5)) {
-        let seq = hypergraph::hyper_distance_stats(&h);
-        prop_assert_eq!(seq, par_hyper_distance_stats(&h));
+        let seq = hypergraph::scalar_hyper_distance_stats(&h);
+        prop_assert_eq!(seq, par_msbfs_distance_stats(&h));
     }
 
-    /// Scoped (crossbeam) distance stats == sequential, any thread count.
-    #[test]
-    fn scoped_distances_equivalent(
-        h in arb_hypergraph(14, 10, 5),
-        threads in 1usize..6,
-    ) {
-        let seq = hypergraph::hyper_distance_stats(&h);
-        prop_assert_eq!(seq, scoped_hyper_distance_stats(&h, threads));
-    }
-
-    /// Parallel graph core decomposition == sequential.
-    #[test]
-    fn par_graph_cores_equivalent(
-        (n, edges) in (1usize..20).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec((0..n as u32, 0..n as u32), 0..50),
-        ))
-    ) {
-        let mut b = graphcore::GraphBuilder::new(n);
-        for (u, v) in edges {
-            if u != v {
-                b.add_edge(graphcore::NodeId(u), graphcore::NodeId(v));
-            }
-        }
-        let g = b.build();
-        let seq = graphcore::core_decomposition(&g);
-        let par = par_core_decomposition(&g);
-        prop_assert_eq!(seq.core, par.core);
-        prop_assert_eq!(seq.max_core, par.max_core);
-    }
-
-    /// Parallel overlap triples match the sequential table.
+    /// Parallel CSR overlap rows match the sequential table.
     #[test]
     fn par_overlap_equivalent(h in arb_hypergraph(12, 10, 5)) {
         let table = hypergraph::OverlapTable::build(&h);
-        for (f, g, c) in parcore::par_overlap_table(&h) {
-            prop_assert_eq!(table.overlap(f, g), c);
+        let par = par_csr_overlap(&h);
+        for f in h.edges() {
+            prop_assert_eq!(par.d2_edge(f), table.d2_edge(f));
+            for (g, c) in par.overlapping(f) {
+                prop_assert_eq!(table.overlap(f, g), c);
+            }
         }
     }
 }

@@ -600,7 +600,7 @@ mod tests {
         let cc = hypergraph_components(&d.hypergraph);
         let big = cc.largest().unwrap();
         let (giant, _, _) = cc.extract(&d.hypergraph, big);
-        let stats = hypergraph::hyper_distance_stats(&giant);
+        let stats = hypergraph::msbfs_distance_stats(&giant);
         assert!(
             (4..=8).contains(&stats.diameter),
             "diameter = {} (paper: 6)",

@@ -7,7 +7,7 @@
 //! ```
 
 use hypergraph::{
-    fit_power_law, hyper_distance_stats, hypergraph_components, max_core, vertex_degree_histogram,
+    fit_power_law, hypergraph_components, max_core, msbfs_distance_stats, vertex_degree_histogram,
 };
 use proteome::annotations::{annotate, core_summary};
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
@@ -34,7 +34,7 @@ fn main() {
     );
 
     let (giant, _, _) = cc.extract(h, big);
-    let dist = hyper_distance_stats(&giant);
+    let dist = msbfs_distance_stats(&giant);
     println!(
         "giant component: diameter {}, average path length {:.3} (small world)",
         dist.diameter, dist.average_path_length

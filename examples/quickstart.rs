@@ -6,7 +6,7 @@
 //! ```
 
 use hypergraph::{
-    greedy_vertex_cover, hyper_distance_stats, hypergraph_components, max_core, HypergraphBuilder,
+    greedy_vertex_cover, hypergraph_components, max_core, msbfs_distance_stats, HypergraphBuilder,
     VertexId,
 };
 
@@ -36,7 +36,7 @@ fn main() {
 
     // Distances: the length of a hypergraph path is the number of
     // hyperedges on it.
-    let stats = hyper_distance_stats(&h);
+    let stats = msbfs_distance_stats(&h);
     println!(
         "diameter {} | average path length {:.3}",
         stats.diameter, stats.average_path_length

@@ -27,7 +27,7 @@ fn e1_section2_statistics() {
     assert_eq!(ds.names[adh1.index()], "ADH1");
 
     let (giant, _, _) = cc.extract(h, big);
-    let dist = hypergraph::hyper_distance_stats(&giant);
+    let dist = hypergraph::msbfs_distance_stats(&giant);
     assert_eq!(dist.diameter, 6, "diameter (paper: 6)");
     assert!(
         (dist.average_path_length - 2.568).abs() < 0.15,

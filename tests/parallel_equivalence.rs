@@ -1,11 +1,8 @@
 //! Parallel implementations must agree with the sequential ones on real
 //! workloads — the correctness half of the paper's future-work claim.
 
-use hypergraph::{hyper_distance_stats, hypergraph_kcore, Hypergraph};
-use parcore::{
-    par_core_decomposition, par_hyper_distance_stats, par_hypergraph_kcore, par_max_core,
-    par_overlap_table,
-};
+use hypergraph::{hypergraph_kcore, scalar_hyper_distance_stats, Hypergraph};
+use parcore::{par_csr_overlap, par_decompose, par_hypergraph_kcore, par_msbfs_distance_stats};
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
 
 fn contents(h: &Hypergraph, core: &hypergraph::KCore) -> Vec<Vec<u32>> {
@@ -34,8 +31,8 @@ fn par_kcore_matches_sequential_on_cellzome() {
         assert_eq!(seq.vertices, par.vertices, "k = {k}");
         assert_eq!(contents(&h, &seq), contents(&h, &par), "k = {k}");
     }
-    let seq_max = hypergraph::max_core(&h).unwrap();
-    let par_max = par_max_core(&h).unwrap();
+    let seq_max = hypergraph::max_core_bsearch(&h).unwrap();
+    let par_max = par_decompose(&h).max_core.unwrap();
     assert_eq!(seq_max.k, par_max.k);
     assert_eq!(seq_max.vertices, par_max.vertices);
 }
@@ -56,8 +53,8 @@ fn par_distances_match_sequential_on_cellzome_giant() {
     let cc = hypergraph::hypergraph_components(&ds.hypergraph);
     let big = cc.largest().unwrap();
     let (giant, _, _) = cc.extract(&ds.hypergraph, big);
-    let seq = hyper_distance_stats(&giant);
-    let par = par_hyper_distance_stats(&giant);
+    let seq = scalar_hyper_distance_stats(&giant);
+    let par = par_msbfs_distance_stats(&giant);
     assert_eq!(seq, par);
     assert_eq!(seq.diameter, 6);
 }
@@ -66,24 +63,17 @@ fn par_distances_match_sequential_on_cellzome_giant() {
 fn par_overlap_matches_table_on_cellzome() {
     let h = cellzome_like(CELLZOME_SEED).hypergraph;
     let table = hypergraph::OverlapTable::build(&h);
-    let par = par_overlap_table(&h);
+    let par = par_csr_overlap(&h);
     // Every parallel triple appears in the sequential table and vice versa.
     let mut count = 0usize;
-    for &(f, g, c) in &par {
-        assert_eq!(table.overlap(f, g), c);
-        count += 1;
+    for f in h.edges() {
+        for (g, c) in par.overlapping(f).filter(|&(g, _)| f < g) {
+            assert_eq!(table.overlap(f, g), c);
+            count += 1;
+        }
     }
     let seq_count: usize = h.edges().map(|f| table.d2_edge(f)).sum::<usize>() / 2;
     assert_eq!(count, seq_count);
-}
-
-#[test]
-fn par_graph_decomposition_matches_on_dip() {
-    let g = proteome::dip_yeast_like(2003);
-    let seq = graphcore::core_decomposition(&g);
-    let par = par_core_decomposition(&g);
-    assert_eq!(seq.core, par.core);
-    assert_eq!(seq.max_core, 10);
 }
 
 #[test]
